@@ -1,16 +1,21 @@
 // The event-engine interface every layer above the simulator schedules
 // against.
 //
-// Two implementations exist:
+// Two implementations exist, and both hold their pending events in the same
+// sim::EventQueue (sim/event_queue.h): generation-stamped slots, a
+// lazy-deletion min-heap and O(1) cancel. They differ in the queue's
+// tie-break key and in what drives the queue:
 //
 //   * sim::Simulator (sim/simulator.h) — the single-threaded reference
-//     engine: one heap, global (time, seq) FIFO order, bit-reproducible by
-//     construction. This is the determinism reference.
+//     engine: one queue keyed by a global FIFO sequence number, so (time,
+//     seq) order is bit-reproducible by construction. This is the
+//     determinism reference.
 //   * sim::ShardedSimulator (sim/sharded_simulator.h) — the rack-partitioned
-//     parallel engine: per-shard event lanes synchronized with conservative
-//     lookahead. A cluster binds to one of its domains and schedules through
-//     the same surface; single-domain workloads reproduce the reference
-//     engine's execution order exactly.
+//     parallel engine: one queue per shard keyed by the derived (parent_step,
+//     parent_domain, idx), shards synchronized with conservative lookahead.
+//     A cluster binds to one of its domains and schedules through the same
+//     surface; single-domain workloads reproduce the reference engine's
+//     execution order exactly.
 //
 // The interface is deliberately narrow: layers may schedule, cancel and read
 // the clock; driving the loop (Run / RunUntil / RunUntilPredicate) belongs to
@@ -25,8 +30,9 @@
 namespace hoplite::sim {
 
 /// Handle to a scheduled event; usable to cancel it before it fires.
-/// Internally a slot index plus the slot's generation at scheduling time, so
-/// stale handles (fired, cancelled, slot since reused) are recognized in O(1).
+/// Internally a queue slot index plus the slot's generation at scheduling
+/// time, so stale handles (fired, cancelled, slot since reused) are
+/// recognized in O(1). The sharded engine also tags the slot with its shard.
 struct EventId {
   std::uint32_t slot = 0;
   std::uint32_t gen = 0;  ///< 0 only in the default (invalid) handle

@@ -3,10 +3,12 @@
 //
 // The engine hosts a set of *domains* — independent event streams, each
 // exposing the full sim::Engine surface through a per-domain lane — placed on
-// a fixed number of *shards*. Each shard owns one event heap and (when more
-// than one shard is runnable) one worker thread. Shards synchronize with the
-// classic conservative (CMB-style) windowing scheme: between barriers, shard
-// s may execute every event strictly earlier than its horizon
+// a fixed number of *shards*. Each shard owns one sim::EventQueue
+// (sim/event_queue.h), holding the events of every domain placed on it, and
+// (when more than one shard is runnable) one worker thread. Shards
+// synchronize with the classic conservative (CMB-style) windowing scheme:
+// between barriers, shard s may execute every event strictly earlier than
+// its horizon
 //
 //     H(s) = min over shards s' != s of ( head_time(s') + L(s' -> s) )
 //
@@ -31,18 +33,21 @@
 // confined to a single domain this order is provably identical to the
 // reference Simulator's global (time, seq) FIFO order — which is what makes
 // a whole HopliteCluster on one domain reproduce the single-threaded engine
-// byte-for-byte. Across domains the order is deterministic and
+// byte-for-byte. That key is the shard queue's tie-break; each queued event's
+// slot records its owning domain, and an EventId names its shard in the low
+// kShardBits of its slot field, so a handle is only ever resolved against the
+// queue that issued it. Across domains the order is deterministic and
 // shard-placement-independent, but interleaves differently than a flat
 // single-heap run would; see README "Parallel engine" for the contract.
 //
 // Threading model (TSan-clean by construction):
-//   * every per-shard structure (heap, clock, stale counter) and every
-//     per-domain structure (slot array, free list, step counter) is touched
-//     only by the shard's worker inside a window, or only by the driver
-//     thread at a barrier; the window/barrier handoff is a mutex+condvar
-//     epoch handshake, so all accesses are ordered by happens-before;
+//   * every per-shard structure (event queue, clock) and every per-domain
+//     step counter is touched only by the shard's worker inside a window, or
+//     only by the driver thread at a barrier; the window/barrier handoff is a
+//     mutex+condvar epoch handshake, so all accesses are ordered by
+//     happens-before;
 //   * cross-shard schedules append to the *sender's* outbox (sender-owned)
-//     and are drained into receiver heaps at the barrier (driver-owned);
+//     and are drained into receiver queues at the barrier (driver-owned);
 //   * if at most one shard is runnable in a window it executes inline on the
 //     driver thread — a single-domain workload never spawns a thread at all.
 #pragma once
@@ -60,6 +65,7 @@
 #include "common/logging.h"
 #include "common/units.h"
 #include "sim/engine.h"
+#include "sim/event_queue.h"
 
 namespace hoplite::sim {
 
@@ -133,18 +139,15 @@ class ShardedSimulator {
   [[nodiscard]] int shards() const { return static_cast<int>(shards_.size()); }
   [[nodiscard]] std::size_t num_domains() const { return domains_.size() - 1; }
 
-  /// Full shard-local slot/generation/heap walk plus cross-shard accounting
-  /// (every heap record's domain must live on that shard; per-domain slot
-  /// arrays consistent; outboxes empty at barriers). Callable from the
-  /// driver thread at barriers only.
+  /// Every shard queue's slot/generation/heap walk plus cross-shard
+  /// accounting (every pending event's domain lives on that shard; outboxes
+  /// empty at barriers). Callable from the driver thread at barriers only.
   void AuditInvariants() const;
 
  private:
-  friend class ShardedLaneTestPeer;
-
   static constexpr SimTime kNever = std::numeric_limits<SimTime>::max();
-  /// Events between consecutive per-shard audit walks (power of two).
-  static constexpr std::uint64_t kAuditPeriod = 1024;
+  /// Low bits of EventId::slot that name the issuing shard (<= 256 shards).
+  static constexpr std::uint32_t kShardBits = 8;
 
   /// Deterministic tie-break key: identity of the scheduling callback plus
   /// the schedule-call ordinal within it. Compares after time.
@@ -160,28 +163,7 @@ class ShardedSimulator {
     }
   };
 
-  /// A heap record: plain data only; the callback lives in the owning
-  /// domain's slot array.
-  struct Record {
-    SimTime time;
-    TieBreak tb;
-    DomainId domain;
-    std::uint32_t slot;
-    std::uint32_t gen;
-  };
-  struct Later {
-    // Max-heap comparator inverted into a min-heap by (time, tie-break).
-    [[nodiscard]] bool operator()(const Record& a, const Record& b) const noexcept {
-      if (a.time != b.time) return a.time > b.time;
-      return b.tb < a.tb;
-    }
-  };
-
-  struct Slot {
-    Engine::Callback fn;
-    std::uint32_t gen = 0;
-    bool live = false;
-  };
+  using Queue = EventQueue<TieBreak>;
 
   /// A cross-shard schedule parked until the next barrier.
   struct Mail {
@@ -229,8 +211,6 @@ class ShardedSimulator {
     DomainId id = 0;
     std::uint32_t shard = 0;
     std::unique_ptr<Lane> lane;
-    std::vector<Slot> slots;
-    std::vector<std::uint32_t> free_slots;
     /// Events of this domain executed so far == step of the next one.
     std::uint64_t executed = 0;
     /// Minimum declared lookahead out of / into this domain, per peer
@@ -240,9 +220,8 @@ class ShardedSimulator {
   };
 
   struct Shard {
-    std::vector<Record> heap;
+    Queue queue;
     SimTime now = 0;
-    std::size_t stale = 0;
     std::uint64_t executed = 0;
     /// Outboxes: mail_to[s] holds cross-shard schedules targeting shard s,
     /// appended by this shard's worker during a window, drained by the
@@ -279,12 +258,10 @@ class ShardedSimulator {
     return domains_[id]->executed;
   }
 
-  /// Allocates a slot in `dom` and pushes the heap record onto the domain's
-  /// shard. Single-threaded with respect to that shard (caller guarantees).
-  EventId Commit(Domain& dom, SimTime t, TieBreak tb, Engine::Callback fn);
+  /// Queues the event on `dom`'s shard and returns its shard-tagged handle.
+  /// Single-threaded with respect to that shard (caller guarantees).
+  EventId Commit(const Domain& dom, SimTime t, TieBreak tb, Engine::Callback fn);
 
-  /// Drops stale heads; returns the live head record or nullptr.
-  const Record* PeekHead(Shard& shard) const;
   /// The shard holding the globally least live head by (time, tie-break),
   /// or nullptr if the engine is drained. Driver thread, all workers parked.
   Shard* FindGlobalHead();
@@ -292,7 +269,7 @@ class ShardedSimulator {
   void ExecuteHead(Shard& shard);
   /// Runs `shard` up to (strictly before) `shard.horizon`.
   void RunWindow(Shard& shard);
-  /// Drains every outbox into the receiving shards' heaps (driver thread,
+  /// Drains every outbox into the receiving shards' queues (driver thread,
   /// all workers parked).
   void DrainMail();
   /// One windowed step: compute horizons, dispatch runnable shards, drain

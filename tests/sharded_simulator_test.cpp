@@ -397,6 +397,20 @@ TEST(ShardedSimulatorDeathTest, CrossDomainCancelDies) {
   EXPECT_DEATH(eng.Run(), "cross-domain cancel");
 }
 
+TEST(ShardedSimulatorDeathTest, DriverCancelWithAnotherDomainsHandleDies) {
+  // From driver context, b's lane must refuse a's handle rather than cancel
+  // whatever b holds in the same slot: on one shard the slot's owner stamp
+  // catches it, on two the handle's shard bits do.
+  for (const int shards : {1, 2}) {
+    ShardedSimulator eng({shards});
+    const DomainId a = eng.AddDomain("a");
+    const DomainId b = eng.AddDomain("b");
+    const EventId from_a = eng.domain(a).ScheduleAt(Milliseconds(10), [] {});
+    eng.domain(b).ScheduleAt(Milliseconds(10), [] {});
+    EXPECT_DEATH(eng.domain(b).Cancel(from_a), "cross-domain cancel") << "shards=" << shards;
+  }
+}
+
 TEST(ShardedSimulatorTest, CrossDomainScheduleReturnsUncancellableHandle) {
   ShardedSimulator eng({2});
   const DomainId a = eng.AddDomain("a", 0);

@@ -3,12 +3,31 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <vector>
 
 #include "common/units.h"
+#include "sim/sharded_simulator.h"
 
 namespace hoplite::sim {
 namespace {
+
+// Defines a case of the sim::Engine contract once and registers it against
+// both engines, and so against the event queue they share: as
+// SimulatorTest.<name> on the reference engine and as ShardedLaneTest.<name>
+// on the lane of a one-domain ShardedSimulator. The body sees the engine
+// under test as `sim`.
+#define ENGINE_CONTRACT_TEST(name)                 \
+  void name##Case(Engine& sim);                    \
+  TEST(SimulatorTest, name) {                      \
+    Simulator sim;                                 \
+    name##Case(sim);                               \
+  }                                                \
+  TEST(ShardedLaneTest, name) {                    \
+    ShardedSimulator eng({1});                     \
+    name##Case(eng.domain(eng.AddDomain("main"))); \
+  }                                                \
+  void name##Case(Engine& sim)
 
 TEST(SimulatorTest, StartsAtTimeZero) {
   Simulator sim;
@@ -17,8 +36,7 @@ TEST(SimulatorTest, StartsAtTimeZero) {
   EXPECT_EQ(sim.pending_events(), 0u);
 }
 
-TEST(SimulatorTest, ExecutesEventAtScheduledTime) {
-  Simulator sim;
+ENGINE_CONTRACT_TEST(ExecutesEventAtScheduledTime) {
   SimTime fired_at = -1;
   sim.ScheduleAt(Milliseconds(5), [&] { fired_at = sim.Now(); });
   sim.Run();
@@ -26,8 +44,7 @@ TEST(SimulatorTest, ExecutesEventAtScheduledTime) {
   EXPECT_EQ(sim.Now(), Milliseconds(5));
 }
 
-TEST(SimulatorTest, ScheduleAfterIsRelativeToNow) {
-  Simulator sim;
+ENGINE_CONTRACT_TEST(ScheduleAfterIsRelativeToNow) {
   SimTime inner_fired_at = -1;
   sim.ScheduleAt(Milliseconds(3), [&] {
     sim.ScheduleAfter(Milliseconds(4), [&] { inner_fired_at = sim.Now(); });
@@ -36,8 +53,7 @@ TEST(SimulatorTest, ScheduleAfterIsRelativeToNow) {
   EXPECT_EQ(inner_fired_at, Milliseconds(7));
 }
 
-TEST(SimulatorTest, EventsFireInTimeOrder) {
-  Simulator sim;
+ENGINE_CONTRACT_TEST(EventsFireInTimeOrder) {
   std::vector<int> order;
   sim.ScheduleAt(Milliseconds(30), [&] { order.push_back(3); });
   sim.ScheduleAt(Milliseconds(10), [&] { order.push_back(1); });
@@ -46,8 +62,7 @@ TEST(SimulatorTest, EventsFireInTimeOrder) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
-TEST(SimulatorTest, SameTimestampEventsFireInFifoOrder) {
-  Simulator sim;
+ENGINE_CONTRACT_TEST(SameTimestampEventsFireInFifoOrder) {
   std::vector<int> order;
   for (int i = 0; i < 16; ++i) {
     sim.ScheduleAt(Milliseconds(1), [&order, i] { order.push_back(i); });
@@ -57,8 +72,7 @@ TEST(SimulatorTest, SameTimestampEventsFireInFifoOrder) {
   for (int i = 0; i < 16; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
 }
 
-TEST(SimulatorTest, ZeroDelayEventRunsAtCurrentTime) {
-  Simulator sim;
+ENGINE_CONTRACT_TEST(ZeroDelayEventRunsAtCurrentTime) {
   bool inner = false;
   sim.ScheduleAt(Milliseconds(2), [&] {
     sim.ScheduleAfter(0, [&] {
@@ -70,8 +84,7 @@ TEST(SimulatorTest, ZeroDelayEventRunsAtCurrentTime) {
   EXPECT_TRUE(inner);
 }
 
-TEST(SimulatorTest, CancelPreventsExecution) {
-  Simulator sim;
+ENGINE_CONTRACT_TEST(CancelPreventsExecution) {
   bool fired = false;
   const EventId id = sim.ScheduleAt(Milliseconds(1), [&] { fired = true; });
   EXPECT_TRUE(sim.Cancel(id));
@@ -80,15 +93,13 @@ TEST(SimulatorTest, CancelPreventsExecution) {
   EXPECT_EQ(sim.executed_events(), 0u);
 }
 
-TEST(SimulatorTest, CancelTwiceReturnsFalse) {
-  Simulator sim;
+ENGINE_CONTRACT_TEST(CancelTwiceReturnsFalse) {
   const EventId id = sim.ScheduleAt(Milliseconds(1), [] {});
   EXPECT_TRUE(sim.Cancel(id));
   EXPECT_FALSE(sim.Cancel(id));
 }
 
-TEST(SimulatorTest, CancelInvalidIdReturnsFalse) {
-  Simulator sim;
+ENGINE_CONTRACT_TEST(CancelInvalidIdReturnsFalse) {
   EXPECT_FALSE(sim.Cancel(EventId{}));
 }
 
@@ -104,8 +115,7 @@ TEST(SimulatorTest, StepExecutesExactlyOneEvent) {
   EXPECT_FALSE(sim.Step());
 }
 
-TEST(SimulatorTest, RunUntilStopsAtDeadlineAndAdvancesClock) {
-  Simulator sim;
+ENGINE_CONTRACT_TEST(RunUntilStopsAtDeadlineAndAdvancesClock) {
   int count = 0;
   sim.ScheduleAt(Milliseconds(1), [&] { ++count; });
   sim.ScheduleAt(Milliseconds(5), [&] { ++count; });
@@ -117,14 +127,12 @@ TEST(SimulatorTest, RunUntilStopsAtDeadlineAndAdvancesClock) {
   EXPECT_EQ(count, 3);
 }
 
-TEST(SimulatorTest, RunUntilAdvancesClockEvenWithEmptyQueue) {
-  Simulator sim;
+ENGINE_CONTRACT_TEST(RunUntilAdvancesClockEvenWithEmptyQueue) {
   sim.RunUntil(Seconds(2));
   EXPECT_EQ(sim.Now(), Seconds(2));
 }
 
-TEST(SimulatorTest, RunUntilPredicate) {
-  Simulator sim;
+ENGINE_CONTRACT_TEST(RunUntilPredicate) {
   int count = 0;
   for (int i = 1; i <= 10; ++i) {
     sim.ScheduleAt(Milliseconds(i), [&] { ++count; });
@@ -137,8 +145,7 @@ TEST(SimulatorTest, RunUntilPredicate) {
   EXPECT_EQ(count, 10);
 }
 
-TEST(SimulatorTest, EventsScheduledDuringRunAreExecuted) {
-  Simulator sim;
+ENGINE_CONTRACT_TEST(EventsScheduledDuringRunAreExecuted) {
   int depth = 0;
   std::function<void()> chain = [&] {
     if (++depth < 100) sim.ScheduleAfter(Microseconds(1), chain);
@@ -150,8 +157,7 @@ TEST(SimulatorTest, EventsScheduledDuringRunAreExecuted) {
   EXPECT_EQ(sim.executed_events(), 100u);
 }
 
-TEST(SimulatorTest, ManyEventsStressOrdering) {
-  Simulator sim;
+ENGINE_CONTRACT_TEST(ManyEventsStressOrdering) {
   // Pseudo-random times; verify monotone execution order.
   std::uint64_t x = 12345;
   SimTime last = -1;
@@ -170,8 +176,7 @@ TEST(SimulatorTest, ManyEventsStressOrdering) {
   EXPECT_EQ(sim.executed_events(), 10'000u);
 }
 
-TEST(SimulatorTest, RunUntilDoesNotExecutePastDeadlineOverCancelledHead) {
-  Simulator sim;
+ENGINE_CONTRACT_TEST(RunUntilDoesNotExecutePastDeadlineOverCancelledHead) {
   const EventId head = sim.ScheduleAt(Milliseconds(5), [] {});
   bool late_fired = false;
   sim.ScheduleAt(Milliseconds(100), [&] { late_fired = true; });
